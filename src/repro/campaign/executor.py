@@ -7,10 +7,15 @@ the figure experiments all submit here.  It
 1. expands the :class:`GridSpec` (or accepts an explicit config list),
 2. skips configs the :class:`ResultStore` has quarantined, then serves
    what it can from the in-process memo cache and the store,
-3. runs the remainder serially (``jobs <= 1``) or over a fault-tolerant
-   process pool (``jobs > 1``), with per-campaign stall timeout and
-   bounded retry of crashed/hung workers,
-4. merges results back in grid order and reports a
+3. maps the remainder through one task function, in this process
+   (``jobs <= 1``) or over a fault-tolerant process pool (``jobs > 1``,
+   with per-campaign stall timeout and bounded retry of crashed/hung
+   workers); either way the same outcomes come back,
+4. decodes every outcome into a record in one place -- which is also
+   the only place results are written to the caches, so a pool worker
+   never writes the store -- and gives each guard failure one
+   confirmation attempt,
+5. merges results back in grid order and reports a
    :class:`CampaignSummary` (completed/cached/failed/quarantined +
    cache counters) instead of aborting the whole grid on one bad run.
 
@@ -30,6 +35,7 @@ bypass the memo cache and the result store in both directions.
 
 from __future__ import annotations
 
+import os
 import time
 import traceback as _traceback
 from dataclasses import dataclass, field
@@ -82,6 +88,27 @@ class RunRecord:
             "result": self.result.to_dict() if self.result else None,
             "telemetry": self.telemetry,
         }
+
+    @classmethod
+    def from_dict(cls, d: dict, index: int) -> "RunRecord":
+        """Inverse of :meth:`to_dict`; ``index`` is the record's grid
+        position, which the dict does not carry.  Missing fields take
+        their defaults (journal-restored wire items drop the bulky ones).
+        """
+        result = d.get("result")
+        return cls(
+            index=index,
+            config=RunConfig.from_dict(d["config"]),
+            status=d.get("status", FAILED),
+            result=MachineResult.from_dict(result) if result else None,
+            source=d.get("source", ""),
+            error=d.get("error", ""),
+            attempts=int(d.get("attempts", 0)),
+            failure_kind=d.get("failure_kind", ""),
+            bundle_path=d.get("bundle_path", ""),
+            traceback=d.get("traceback", ""),
+            telemetry=d.get("telemetry"),
+        )
 
 
 @dataclass
@@ -244,7 +271,7 @@ def _failed_record(index: int, cfg: RunConfig, status: str,
 
 
 # ---------------------------------------------------------------------------
-# Pool worker
+# Worker
 # ---------------------------------------------------------------------------
 
 # Shared with repro.service runners; see harness.runner.
@@ -254,12 +281,13 @@ _merge_counts = runner.merge_cache_counts
 
 
 def _simulate_payload(payload: dict) -> dict:
-    """Pool worker: dict in, dict out (keeps transport JSON-clean).
+    """The campaign task: dict in, dict out (keeps transport JSON-clean).
 
-    A ``__guard__`` key (a serialized GuardConfig) arms paranoid mode;
-    guard failures come back as a structured ``__failure__`` value
-    rather than an exception, so the pool does not burn its crash-retry
-    budget on deterministic invariant violations.  A ``__telemetry__``
+    Runs in a pool worker, or in the campaign's own process when
+    ``jobs <= 1``.  A ``__guard__`` key (a serialized GuardConfig) arms
+    paranoid mode; guard failures come back as a structured
+    ``__failure__`` value rather than an exception, so the pool does not
+    burn its crash-retry budget on deterministic invariant violations.  A ``__telemetry__``
     key (a serialized TelemetryConfig) arms observability; the trace
     summary rides back under the same out-of-band key, keeping
     ``MachineResult`` itself untouched.
@@ -297,94 +325,118 @@ def _simulate_payload(payload: dict) -> dict:
 
 
 def _simulate_one(payload: dict) -> dict:
+    """Simulate one config; never touches the result caches.
+
+    Caching is the campaign process's job (:func:`_decode`): a forked
+    worker inherits the parent's installed store, and writing it from
+    here would store every result twice.
+    """
     guard_dict = payload.pop("__guard__", None)
     tel_dict = payload.pop("__telemetry__", None)
     cfg = RunConfig.from_dict(payload)
+    guard_cfg = None
+    if guard_dict is not None:
+        from repro.guard import GuardConfig
 
+        guard_cfg = GuardConfig.from_dict(guard_dict)
+    # A fresh Telemetry per attempt: a failed attempt's half-built trace
+    # must not leak into the retry's.
     tel_obj = None
     if tel_dict is not None:
         from repro.telemetry import Telemetry, TelemetryConfig
 
         tel_obj = Telemetry(TelemetryConfig.from_dict(tel_dict))
-
-    def _out(result) -> dict:
-        out = result.to_dict()
-        if tel_obj is not None:
-            out["__telemetry__"] = tel_obj.summary
-        return out
-
-    if guard_dict is None:
-        return _out(runner.run_workload(cfg, telemetry=tel_obj))
-
-    from repro.guard import GuardConfig
-
-    guard_cfg = GuardConfig.from_dict(guard_dict)
     try:
-        return _out(runner.run_workload(cfg, guard=guard_cfg, telemetry=tel_obj))
+        result, _machine = runner.simulate(
+            cfg, guard=guard_cfg, telemetry=tel_obj
+        )
     except Exception as exc:
+        if guard_cfg is None:
+            raise
         return {"__failure__": _failure_info(exc)}
+    out = result.to_dict()
+    if tel_obj is not None:
+        out["__telemetry__"] = tel_obj.summary
+    return out
 
 
 # ---------------------------------------------------------------------------
-# Serial guarded execution (attempt + deterministic-failure confirmation)
+# Outcome -> record
 # ---------------------------------------------------------------------------
 
-def _fresh_telemetry(tel_cfg):
-    """One Telemetry per run attempt (or None when telemetry is off)."""
-    if tel_cfg is None:
-        return None
-    from repro.telemetry import Telemetry
+def _unbatch(group: List[int], outcome: _pool.TaskOutcome,
+             pool_caches: Dict[str, Dict[str, int]]):
+    """Yield ``(grid index, per-config outcome)`` for one task.
 
-    return Telemetry(tel_cfg)
-
-def _run_guarded_serial(index: int, cfg: RunConfig, guard_cfg,
-                        store, tel_cfg=None) -> RunRecord:
-    # A fresh Telemetry per attempt: a failed attempt's half-built trace
-    # must not leak into the retry's.
-    tel_obj = _fresh_telemetry(tel_cfg)
-    try:
-        result = runner.run_workload(cfg, guard=guard_cfg, telemetry=tel_obj)
-        return RunRecord(
-            index, cfg, COMPLETED, result, source="simulated", attempts=1,
-            telemetry=tel_obj.summary if tel_obj is not None else None,
+    A batch task's outcome fans out to its members: all share the
+    task's failure, or each gets its own item of the batch value.
+    """
+    if len(group) == 1:
+        yield group[0], outcome
+        return
+    if not outcome.ok:
+        for i in group:
+            yield i, outcome
+        return
+    _merge_counts(pool_caches, outcome.value.get("__cache_stats__"))
+    for i, item in zip(group, outcome.value["__batch__"]):
+        yield i, _pool.TaskOutcome(
+            index=i, status=_pool.OK, value=item, attempts=outcome.attempts
         )
-    except Exception as exc:
-        first = _failure_info(exc)
-    # One confirmation attempt decides deterministic vs. transient; a
-    # deterministic failure is quarantined, never retried further.
-    tel_obj = _fresh_telemetry(tel_cfg)
-    try:
-        result = runner.run_workload(cfg, guard=guard_cfg, telemetry=tel_obj)
-        return RunRecord(
-            index, cfg, COMPLETED, result, source="simulated", attempts=2,
-            error=f"transient failure on first attempt: {first['error']}",
-            telemetry=tel_obj.summary if tel_obj is not None else None,
-        )
-    except Exception as exc:
-        second = _failure_info(exc)
-    if _same_failure(first, second):
-        _quarantine(store, cfg, second)
-        return _failed_record(index, cfg, QUARANTINED, second, attempts=2)
-    return _failed_record(index, cfg, FAILED, second, attempts=2)
 
 
-def _record_pool_failure(index: int, cfg: RunConfig, outcome, store,
-                         extra_attempts: int = 0) -> RunRecord:
-    attempts = outcome.attempts + extra_attempts
-    info = {
-        "failure_kind": "timeout" if outcome.status == _pool.TIMEOUT else "crash",
-        "error": outcome.error,
-        "checker": "",
-        "bundle_path": "",
-        "traceback": outcome.traceback,
-    }
-    if outcome.status == _pool.TIMEOUT:
-        return _failed_record(index, cfg, TIMEOUT, info, attempts)
-    if outcome.status == _pool.CRASHED and attempts >= 2:
-        # Crashed on every attempt: deterministic, quarantine it.
-        _quarantine(store, cfg, info)
-        return _failed_record(index, cfg, QUARANTINED, info, attempts)
-    return _failed_record(index, cfg, FAILED, info, attempts)
+def _decode(index: int, cfg: RunConfig, outcome: _pool.TaskOutcome,
+            store, guarded: bool,
+            first: Optional[_pool.TaskOutcome] = None) -> Optional[RunRecord]:
+    """The one place a worker outcome becomes a :class:`RunRecord`.
+
+    ``first`` is the failed first attempt when *outcome* is its
+    confirmation.  Returns None when a guard failure needs that
+    confirmation attempt.  Unguarded results are primed into the memo
+    cache and the store here, in the campaign process -- the only cache
+    writer.
+    """
+    attempts = outcome.attempts + (first.attempts if first else 0)
+    if not outcome.ok:  # the task raised, or its worker crashed or hung
+        timed_out = outcome.status == _pool.TIMEOUT
+        info = {
+            "failure_kind": "timeout" if timed_out else "crash",
+            "error": outcome.error,
+            "checker": "",
+            "bundle_path": "",
+            "traceback": outcome.traceback,
+        }
+        if timed_out:
+            return _failed_record(index, cfg, TIMEOUT, info, attempts)
+        if outcome.status == _pool.CRASHED and attempts >= 2:
+            # Crashed on every attempt: deterministic, quarantine it.
+            _quarantine(store, cfg, info)
+            return _failed_record(index, cfg, QUARANTINED, info, attempts)
+        return _failed_record(index, cfg, FAILED, info, attempts)
+    value = outcome.value
+    failure = value.get("__failure__")
+    if failure is not None:
+        if not guarded:  # a batch item's own exception
+            return _failed_record(index, cfg, FAILED, failure, attempts)
+        if first is None:
+            return None
+        # Reproduced -> deterministic -> quarantine; else transient.
+        if _same_failure(first.value["__failure__"], failure):
+            _quarantine(store, cfg, failure)
+            return _failed_record(index, cfg, QUARANTINED, failure, attempts)
+        return _failed_record(index, cfg, FAILED, failure, attempts)
+    telemetry = value.pop("__telemetry__", None)
+    result = MachineResult.from_dict(value)
+    if not guarded:
+        runner.prime(cfg, result)
+    error = ""
+    if first is not None:
+        error = ("transient failure on first attempt: "
+                 f"{first.value['__failure__'].get('error', '')}")
+    return RunRecord(
+        index, cfg, COMPLETED, result, source="simulated",
+        attempts=attempts, error=error, telemetry=telemetry,
+    )
 
 
 def _plan_batches(pending: List[int], configs: Sequence[RunConfig],
@@ -424,7 +476,7 @@ def _plan_batches(pending: List[int], configs: Sequence[RunConfig],
 
 
 # ---------------------------------------------------------------------------
-# Shared campaign building blocks (pool executor + repro.service)
+# Shared campaign building blocks (run_campaign + repro.service)
 # ---------------------------------------------------------------------------
 
 def prescan(
@@ -501,9 +553,19 @@ def summarize_records(
     )
 
 
-# ---------------------------------------------------------------------------
-# Entry point
-# ---------------------------------------------------------------------------
+def _as_campaign_guard(guard):
+    """Normalize ``guard=`` (``True``, a GuardConfig or a Guard) to a
+    GuardConfig (or None)."""
+    if guard is None or guard is False:
+        return None
+    from repro.guard import Guard, GuardConfig
+
+    if isinstance(guard, GuardConfig):
+        return guard
+    if isinstance(guard, Guard):
+        return guard.config
+    return GuardConfig()
+
 
 def _as_campaign_telemetry(telemetry):
     """Normalize ``telemetry=`` to a TelemetryConfig (or None).
@@ -546,6 +608,35 @@ def _as_progress(progress):
     return progress
 
 
+def _campaign_options(store, guard, telemetry, progress,
+                      trace_dir: Optional[str] = None):
+    """Normalize the settings :func:`run_campaign` and the distributed
+    coordinator share.
+
+    Returns ``(guard, telemetry, on_event, trace_dir)``: the guard and
+    telemetry configs in wire form (dicts, None when off), the progress
+    callback, and the on-disk trace cache that plain (unguarded,
+    unobserved) campaigns share -- ``trace_dir``, else ``<store>/traces``
+    for a store with a root.
+    """
+    guard_cfg = _as_campaign_guard(guard)
+    tel_cfg = _as_campaign_telemetry(telemetry)
+    if guard_cfg is not None or tel_cfg is not None:
+        trace_dir = None
+    elif trace_dir is None and getattr(store, "root", None):
+        trace_dir = os.path.join(str(store.root), "traces")
+    return (
+        guard_cfg.to_dict() if guard_cfg is not None else None,
+        tel_cfg.to_dict() if tel_cfg is not None else None,
+        _as_progress(progress),
+        trace_dir,
+    )
+
+
+# ---------------------------------------------------------------------------
+# Entry point
+# ---------------------------------------------------------------------------
+
 def run_campaign(
     grid: Union[GridSpec, Iterable[RunConfig]],
     jobs: int = 1,
@@ -569,213 +660,89 @@ def run_campaign(
     ``RunRecord.telemetry``.  Telemetry runs always simulate (a cached
     result has no trace), but their results still prime the caches when
     unguarded.  ``progress`` (``True`` for a stderr printer, or a
-    callable) reports live ``done``/``heartbeat`` events while a pool
-    campaign drains.  ``trace_dir`` points pool workers at a shared
-    on-disk trace cache (defaults to ``<store>/traces`` when a store
-    with a root is installed; service runners pass the broker's).
+    callable) reports live ``done``/``heartbeat`` events.  ``trace_dir``
+    points pool workers at a shared on-disk trace cache (defaults to
+    ``<store>/traces`` when a store with a root is installed; service
+    runners pass the broker's).  ``timeout`` and ``retries`` govern the
+    pool's stall watchdog and crash retries.
     """
     t0 = time.monotonic()
     configs = grid.expand() if isinstance(grid, GridSpec) else list(grid)
     records: List[Optional[RunRecord]] = [None] * len(configs)
-
-    guard_cfg = None
-    if guard is not None and guard is not False:
-        from repro.guard import Guard, GuardConfig
-
-        if isinstance(guard, GuardConfig):
-            guard_cfg = guard
-        elif isinstance(guard, Guard):
-            guard_cfg = guard.config
-        else:
-            guard_cfg = GuardConfig()
-
-    tel_cfg = _as_campaign_telemetry(telemetry)
-    on_event = _as_progress(progress)
-
     effective_store = store if store is not None else runner.get_result_store()
+    guard_dict, tel_dict, on_event, trace_dir = _campaign_options(
+        effective_store, guard, telemetry, progress, trace_dir
+    )
+    guarded = guard_dict is not None
+    plain = not guarded and tel_dict is None
     prev_store = runner.set_result_store(effective_store)
     # Worker-reported amortization-cache counter deltas (pool batches).
     pool_caches: Dict[str, Dict[str, int]] = {}
     try:
         pending = prescan(
-            configs, records, effective_store,
-            skip_caches=guard_cfg is not None or tel_cfg is not None,
+            configs, records, effective_store, skip_caches=not plain
+        )
+        # In-process runs already share one snapshot cache, so only the
+        # pool batches; guarded/observed runs keep per-run tasks (their
+        # confirmation pass needs task granularity).
+        in_process = jobs <= 1 or len(pending) <= 1
+        groups = _plan_batches(
+            pending, configs, jobs, batching=plain and not in_process
         )
 
-        if jobs <= 1 or len(pending) <= 1:
-            for serial_done, i in enumerate(pending):
-                cfg = configs[i]
-                if guard_cfg is not None:
-                    records[i] = _run_guarded_serial(
-                        i, cfg, guard_cfg, effective_store, tel_cfg
-                    )
-                else:
-                    tel_obj = _fresh_telemetry(tel_cfg)
-                    try:
-                        result = runner.run_workload(cfg, telemetry=tel_obj)
-                        records[i] = RunRecord(
-                            i, cfg, COMPLETED, result,
-                            source="simulated", attempts=1,
-                            telemetry=(
-                                tel_obj.summary if tel_obj is not None else None
-                            ),
-                        )
-                    except Exception as exc:
-                        records[i] = _failed_record(
-                            i, cfg, FAILED, _failure_info(exc), attempts=1
-                        )
-                if on_event is not None:
-                    on_event("done", {
-                        "completed": serial_done + 1,
-                        "outstanding": len(pending) - serial_done - 1,
-                        "total": len(pending),
-                    })
-        elif pending:
-            guard_dict = guard_cfg.to_dict() if guard_cfg is not None else None
-            tel_dict = tel_cfg.to_dict() if tel_cfg is not None else None
+        def _payload(i: int) -> dict:
+            payload = configs[i].to_dict()
+            if guard_dict is not None:
+                payload["__guard__"] = guard_dict
+            if tel_dict is not None:
+                payload["__telemetry__"] = tel_dict
+            return payload
 
-            # Shared on-disk trace cache: piggyback on the persistent
-            # store's directory so workers stop regenerating identical
-            # traces (and later campaigns reuse them too).
-            amortize_dict = None
-            effective_trace_dir = trace_dir
-            if effective_trace_dir is None:
-                store_root = getattr(effective_store, "root", None)
-                if store_root:
-                    import os as _os
+        def _task(group: List[int]) -> dict:
+            if len(group) == 1:
+                payload = _payload(group[0])
+            else:
+                payload = {"__batch__": [_payload(i) for i in group]}
+            # Never in-process: it would repoint this process's own
+            # (process-global) trace cache for good.
+            if trace_dir and not in_process:
+                payload["__amortize__"] = {"trace_dir": trace_dir}
+            return payload
 
-                    effective_trace_dir = _os.path.join(
-                        str(store_root), "traces"
-                    )
-            if guard_cfg is None and tel_cfg is None and effective_trace_dir:
-                amortize_dict = {"trace_dir": effective_trace_dir}
-
-            def _payload(i: int) -> dict:
-                payload = configs[i].to_dict()
-                if guard_dict is not None:
-                    payload["__guard__"] = guard_dict
-                if tel_dict is not None:
-                    payload["__telemetry__"] = tel_dict
-                return payload
-
-            # Group runs that share a machine-snapshot key into batches
-            # so they land on the same worker and fork its snapshot
-            # instead of rebuilding.  Only plain campaigns batch:
-            # guarded/observed runs keep per-run payloads (their
-            # failure confirmation pass needs task granularity).
-            groups = _plan_batches(
-                pending, configs, jobs,
-                batching=guard_cfg is None and tel_cfg is None,
+        def _map(payloads: List[dict], watchdog: Optional[float],
+                 extra_attempts: int):
+            if in_process:
+                return _pool.map_in_process(
+                    _simulate_payload, payloads, on_event=on_event
+                )
+            return _pool.map_with_retries(
+                _simulate_payload, payloads, jobs=jobs, timeout=watchdog,
+                retries=extra_attempts,
+                heartbeat=2.0 if on_event is not None else None,
+                on_event=on_event,
             )
 
-            def _group_payload(group: List[int]) -> dict:
-                if len(group) == 1:
-                    payload = _payload(group[0])
+        # The stall watchdog sees one completion per *task*; a batch
+        # is one task doing len(batch) runs, so scale its budget.
+        max_batch = max((len(g) for g in groups), default=1)
+        outcomes = _map(
+            [_task(g) for g in groups],
+            timeout * max_batch if timeout is not None else None, retries,
+        )
+        confirm: List[Tuple[int, _pool.TaskOutcome]] = []
+        for group, outcome in zip(groups, outcomes):
+            for i, task in _unbatch(group, outcome, pool_caches):
+                rec = _decode(i, configs[i], task, effective_store, guarded)
+                if rec is None:
+                    confirm.append((i, task))
                 else:
-                    payload = {"__batch__": [_payload(i) for i in group]}
-                if amortize_dict is not None:
-                    payload["__amortize__"] = amortize_dict
-                return payload
-
-            # The stall watchdog sees one completion per *task*; a batch
-            # is one task doing len(batch) runs, so scale its budget.
-            max_batch = max(len(g) for g in groups)
-            pool_timeout = timeout * max_batch if timeout is not None else None
-            heartbeat = 2.0 if on_event is not None else None
-            outcomes = _pool.map_with_retries(
-                _simulate_payload, [_group_payload(g) for g in groups],
-                jobs=jobs, timeout=pool_timeout, retries=retries,
-                heartbeat=heartbeat, on_event=on_event,
+                    records[i] = rec
+        # Guard failures get exactly one confirmation attempt.
+        outcomes = _map([_payload(i) for i, _ in confirm], timeout, 0)
+        for (i, first), outcome in zip(confirm, outcomes):
+            records[i] = _decode(
+                i, configs[i], outcome, effective_store, guarded, first
             )
-            confirm: List[Tuple[int, Dict[str, str], int]] = []
-            for outcome, group in zip(outcomes, groups):
-                if len(group) > 1:
-                    if not outcome.ok:
-                        for i in group:
-                            records[i] = _record_pool_failure(
-                                i, configs[i], outcome, effective_store
-                            )
-                        continue
-                    value = outcome.value
-                    _merge_counts(
-                        pool_caches, value.get("__cache_stats__")
-                    )
-                    for i, item in zip(group, value["__batch__"]):
-                        cfg = configs[i]
-                        if isinstance(item, dict) and "__failure__" in item:
-                            records[i] = _failed_record(
-                                i, cfg, FAILED, item["__failure__"],
-                                attempts=outcome.attempts,
-                            )
-                            continue
-                        tel_summary = item.pop("__telemetry__", None)
-                        result = MachineResult.from_dict(item)
-                        runner.prime(cfg, result)
-                        records[i] = RunRecord(
-                            i, cfg, COMPLETED, result,
-                            source="simulated", attempts=outcome.attempts,
-                            telemetry=tel_summary,
-                        )
-                    continue
-                i = group[0]
-                cfg = configs[i]
-                if not outcome.ok:
-                    records[i] = _record_pool_failure(
-                        i, cfg, outcome, effective_store
-                    )
-                    continue
-                value = outcome.value
-                if isinstance(value, dict) and "__failure__" in value:
-                    confirm.append((i, value["__failure__"], outcome.attempts))
-                    continue
-                tel_summary = value.pop("__telemetry__", None)
-                result = MachineResult.from_dict(value)
-                if guard_cfg is None:
-                    runner.prime(cfg, result)
-                records[i] = RunRecord(
-                    i, cfg, COMPLETED, result,
-                    source="simulated", attempts=outcome.attempts,
-                    telemetry=tel_summary,
-                )
-            if confirm:
-                # Guard failures get exactly one confirmation attempt
-                # (retries=0): reproduce -> quarantine, else transient.
-                outcomes2 = _pool.map_with_retries(
-                    _simulate_payload, [_payload(i) for i, _, _ in confirm],
-                    jobs=jobs, timeout=timeout, retries=0,
-                    heartbeat=heartbeat, on_event=on_event,
-                )
-                for (i, first, attempts1), outcome2 in zip(confirm, outcomes2):
-                    cfg = configs[i]
-                    attempts = attempts1 + outcome2.attempts
-                    if not outcome2.ok:
-                        records[i] = _record_pool_failure(
-                            i, cfg, outcome2, effective_store,
-                            extra_attempts=attempts1,
-                        )
-                        continue
-                    value2 = outcome2.value
-                    if isinstance(value2, dict) and "__failure__" in value2:
-                        second = value2["__failure__"]
-                        if _same_failure(first, second):
-                            _quarantine(effective_store, cfg, second)
-                            records[i] = _failed_record(
-                                i, cfg, QUARANTINED, second, attempts
-                            )
-                        else:
-                            records[i] = _failed_record(
-                                i, cfg, FAILED, second, attempts
-                            )
-                        continue
-                    tel_summary2 = value2.pop("__telemetry__", None)
-                    result = MachineResult.from_dict(value2)
-                    records[i] = RunRecord(
-                        i, cfg, COMPLETED, result,
-                        source="simulated", attempts=attempts,
-                        error=f"transient failure on first attempt: "
-                              f"{first.get('error', '')}",
-                        telemetry=tel_summary2,
-                    )
     finally:
         runner.set_result_store(prev_store)
 

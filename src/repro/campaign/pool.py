@@ -15,6 +15,9 @@ workers.  Guarantees:
   is recorded as ``"error"`` immediately and not retried;
 * the returned outcomes are in submission order regardless of
   completion order, keeping campaign merges deterministic.
+
+:func:`map_in_process` is its single-process twin (``jobs <= 1``): the
+same outcomes and ``done`` events, with no processes to retry.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import time as _time
 import traceback as _traceback
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import Any, Callable, List, Optional, Sequence
+from typing import Any, Callable, Iterator, List, Optional, Sequence
 
 from repro.obs.log import get_logger as _get_logger
 
@@ -92,6 +95,37 @@ class TaskOutcome:
     @property
     def ok(self) -> bool:
         return self.status == OK
+
+
+def map_in_process(
+    fn: Callable[[Any], Any],
+    payloads: Sequence[Any],
+    on_event: Optional[Callable[[str, dict], None]] = None,
+) -> Iterator[TaskOutcome]:
+    """:func:`map_with_retries` in this process, for ``jobs <= 1``.
+
+    Yields the same outcomes, lazily (the caller persists each result
+    before the next payload runs), and reports the same ``done`` events.
+    No watchdog, no retries: an exception is an ``"error"`` outcome.
+    """
+    n = len(payloads)
+    for i, payload in enumerate(payloads):
+        try:
+            outcome = TaskOutcome(index=i, status=OK, value=fn(payload),
+                                  attempts=1)
+        except Exception as exc:
+            outcome = TaskOutcome(
+                index=i,
+                status=ERROR,
+                error=f"{type(exc).__name__}: {exc}",
+                attempts=1,
+                traceback=_format_tb(exc),
+            )
+        if on_event is not None:
+            on_event("done", {
+                "completed": i + 1, "outstanding": n - i - 1, "total": n,
+            })
+        yield outcome
 
 
 def _kill_pool(pool: cf.ProcessPoolExecutor) -> None:

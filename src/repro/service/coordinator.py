@@ -3,8 +3,10 @@
 The coordinator is ``run_campaign``'s distributed twin, built from the
 same campaign primitives:
 
-1. expand the grid (or, for ``--resume``, reload the persisted
-   manifest), :func:`~repro.campaign.executor.prescan` against the
+1. normalize guard, telemetry, progress and the shared trace-cache
+   directory exactly as ``run_campaign`` does, expand the grid (or,
+   for ``--resume``, reload the persisted manifest), and
+   :func:`~repro.campaign.executor.prescan` against the
    shared :class:`ResultStore` -- quarantined and already-stored
    configs resolve locally and are **not** re-enqueued, which is what
    makes campaigns resumable across broker and runner restarts;
@@ -15,7 +17,8 @@ same campaign primitives:
    dedupes);
 3. poll broker status, forwarding progress events, until every
    submitted batch is done;
-4. pull the records back, merge by grid index, and return an ordinary
+4. pull the records back (``RunRecord.from_dict`` inverts the wire's
+   ``to_dict``), merge by grid index, and return an ordinary
    :class:`~repro.campaign.CampaignResult` -- callers cannot tell the
    difference from a pool campaign (and the results are bit-identical;
    CI pins that).
@@ -40,8 +43,7 @@ from repro import obs
 from repro.campaign.executor import (
     CampaignResult,
     RunRecord,
-    _as_campaign_telemetry,
-    _as_progress,
+    _campaign_options,
     _plan_batches,
     prescan,
     summarize_records,
@@ -54,30 +56,12 @@ from repro.service.protocol import (
     BrokerUnreachable,
     batch_id_for,
 )
-from repro.system.machine import MachineResult
 
 _LOG = obs.get_logger("coordinator")
 
 
 def new_campaign_id() -> str:
     return f"c{uuid.uuid4().hex[:12]}"
-
-
-def _record_from_item(index: int, cfg: RunConfig, item: dict) -> RunRecord:
-    result = item.get("result")
-    return RunRecord(
-        index=index,
-        config=cfg,
-        status=item.get("status", "failed"),
-        result=MachineResult.from_dict(result) if result else None,
-        source=item.get("source", ""),
-        error=item.get("error", ""),
-        attempts=int(item.get("attempts", 0)),
-        failure_kind=item.get("failure_kind", ""),
-        bundle_path=item.get("bundle_path", ""),
-        traceback=item.get("traceback", ""),
-        telemetry=item.get("telemetry"),
-    )
 
 
 def run_distributed_campaign(
@@ -117,13 +101,10 @@ def run_distributed_campaign(
     client.probe()
     cid = campaign_id or new_campaign_id()
 
-    tel_cfg = _as_campaign_telemetry(telemetry)
-    guard_cfg = None
-    if guard is not None and guard is not False:
-        from repro.guard import GuardConfig
-
-        guard_cfg = guard if isinstance(guard, GuardConfig) else GuardConfig()
-    on_event = _as_progress(progress)
+    guard_dict, tel_dict, on_event, trace_dir = _campaign_options(
+        store, guard, telemetry, progress
+    )
+    plain = guard_dict is None and tel_dict is None
 
     if resume:
         manifest = client.manifest(cid)
@@ -154,28 +135,21 @@ def run_distributed_campaign(
                       "span_id": campaign_span.span_id}
 
     records: List[Optional[RunRecord]] = [None] * len(configs)
-    pending = prescan(
-        configs, records, store,
-        skip_caches=guard_cfg is not None or tel_cfg is not None,
-    )
+    pending = prescan(configs, records, store, skip_caches=not plain)
 
     submitted: List[str] = []
     if pending:
-        groups = _plan_batches(
-            pending, configs, jobs,
-            batching=guard_cfg is None and tel_cfg is None,
-        )
+        groups = _plan_batches(pending, configs, jobs, batching=plain)
         meta = {
             "timeout": timeout,
             "retries": retries,
-            "guard": guard_cfg.to_dict() if guard_cfg is not None else None,
-            "telemetry": tel_cfg.to_dict() if tel_cfg is not None else None,
+            "guard": guard_dict,
+            "telemetry": tel_dict,
         }
         if trace_meta is not None:
             meta["trace"] = dict(trace_meta)
-        store_root = getattr(store, "root", None)
-        if store_root and guard_cfg is None and tel_cfg is None:
-            meta["trace_dir"] = os.path.join(str(store_root), "traces")
+        if trace_dir:
+            meta["trace_dir"] = trace_dir
         batches = []
         for group in groups:
             payloads = [configs[i].to_dict() for i in group]
@@ -246,7 +220,7 @@ def run_distributed_campaign(
         for item in client.records(cid):
             i = int(item["index"])
             if records[i] is None:  # don't clobber prescan resolutions
-                records[i] = _record_from_item(i, configs[i], item)
+                records[i] = RunRecord.from_dict(item, i)
 
     done_records = [r for r in records if r is not None]
     broker_caches = {}

@@ -12,11 +12,11 @@ Liveness is heartbeats: while a batch runs, a timer thread renews the
 runner's leases every third of the lease period (so a single run longer
 than the lease cannot get the batch requeued mid-run), and campaign
 ``progress`` events are additionally forwarded as telemetry heartbeats
-(throughput, snapshot/trace cache hit deltas, recent overlap
-fractions).  A runner that dies mid-batch simply stops
-heartbeating; the broker expires the lease and requeues the batch
-elsewhere.  All broker I/O retries with the shared jittered-exponential
-:class:`~repro.campaign.pool.Backoff` before giving up.
+(throughput, snapshot/trace cache hit deltas).  A runner that dies
+mid-batch simply stops heartbeating; the broker expires the lease and
+requeues the batch elsewhere.  All broker I/O retries with the shared
+jittered-exponential :class:`~repro.campaign.pool.Backoff` before
+giving up.
 """
 
 from __future__ import annotations
@@ -172,7 +172,6 @@ def runner_loop(
         return {
             "backoff_retries": getattr(client, "retries_total", 0),
             "batch_seconds_total": batch_seconds_total,
-            "batches_done": done,
         }
 
     def _on_sigterm(signum, frame):
@@ -303,12 +302,6 @@ def runner_loop(
                     finally:
                         stop_renewal.set()
                         renewal.join(timeout=10)
-                    for item in items:
-                        overlap = (item.get("telemetry") or {}).get(
-                            "overlap_fraction"
-                        )
-                        if overlap is not None:
-                            hb.observe_overlap(overlap)
                     # Even when stop was requested mid-batch (SIGTERM
                     # drain), the finished batch is reported before the
                     # loop exits -- the work is never thrown away.

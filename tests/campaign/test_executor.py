@@ -1,5 +1,7 @@
 """Campaign executor: parallel==serial, store reuse, failure summaries."""
 
+import os
+
 import pytest
 
 from repro.campaign import (
@@ -159,3 +161,28 @@ def test_progress_callable_sees_every_completion():
     assert done
     assert done[-1]["completed"] == 2
     assert done[-1]["total"] == 2
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_each_simulated_result_is_stored_once(tmp_path, monkeypatch, jobs):
+    """The campaign process is the only store writer: forked pool workers
+    inherit the installed store but must not write it as well."""
+    log = tmp_path / "puts.log"
+    real_put = ResultStore.put
+
+    def logged_put(self, cfg, result):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return real_put(self, cfg, result)
+
+    # Patched before the pool forks, so workers inherit the wrapper.
+    monkeypatch.setattr(ResultStore, "put", logged_put)
+    store = ResultStore(tmp_path / "store")
+    grid = GridSpec(schemes=("baseline", "nomad"), workloads=("sop",),
+                    base=BASE, axes={"seed": (1, 2)})
+    campaign = run_campaign(grid, jobs=jobs, store=store)
+    assert campaign.summary.completed == 4
+    puts = log.read_text().splitlines()
+    assert len(puts) == 4, f"{len(puts)} puts from pids {sorted(set(puts))}"
+    assert set(puts) == {str(os.getpid())}
+    assert store.writes == 4

@@ -2,7 +2,14 @@
 
 import pytest
 
-from repro.campaign.pool import CRASHED, ERROR, OK, TIMEOUT, map_with_retries
+from repro.campaign.pool import (
+    CRASHED,
+    ERROR,
+    OK,
+    TIMEOUT,
+    map_in_process,
+    map_with_retries,
+)
 
 from tests.campaign import workers
 
@@ -154,3 +161,26 @@ def test_map_with_retries_accepts_no_backoff():
         workers.square, [1, 2], jobs=2, backoff=None
     )
     assert [o.value for o in outcomes] == [1, 4]
+
+
+def test_in_process_map_matches_pool_outcomes_lazily():
+    calls, events = [], []
+
+    def fn(x):
+        calls.append(x)
+        return workers.raise_value_error(x) if x == 2 else workers.square(x)
+
+    outcomes = map_in_process(fn, [1, 2, 3],
+                              on_event=lambda k, info: events.append(info))
+    first = next(outcomes)
+    # Lazy: the caller keeps each outcome before the next payload runs.
+    assert calls == [1] and (first.status, first.value) == (OK, 1)
+    rest = list(outcomes)
+    pool = map_with_retries(workers.raise_value_error, [2], jobs=1)[0]
+    assert rest[0].status == pool.status == ERROR
+    assert rest[0].error == pool.error
+    assert rest[0].attempts == pool.attempts == 1
+    assert "Traceback" in rest[0].traceback
+    assert (rest[1].index, rest[1].value) == (2, 9)
+    assert [e["completed"] for e in events] == [1, 2, 3]
+    assert events[-1] == {"completed": 3, "outstanding": 0, "total": 3}

@@ -4,6 +4,8 @@ import json
 
 import pytest
 
+from repro.campaign import RunRecord, run_campaign
+from repro.campaign.executor import QUARANTINED
 from repro.config.schemes import (
     BackendTopology,
     NomadConfig,
@@ -11,6 +13,7 @@ from repro.config.schemes import (
     TiDConfig,
 )
 from repro.harness.runner import RunConfig, run_workload
+from repro.service.protocol import record_to_item
 from repro.system.machine import MachineResult
 
 
@@ -78,3 +81,20 @@ def test_machine_result_round_trip():
 def test_machine_result_rejects_unknown_keys():
     with pytest.raises(ValueError, match="unknown keys"):
         MachineResult.from_dict({"nope": 1})
+
+
+def test_run_record_wire_round_trip():
+    cfg = RunConfig(scheme="nomad", workload="sop", num_mem_ops=300,
+                    num_cores=2, dc_megabytes=8)
+    observed = run_campaign([cfg], telemetry=True).records[0]
+    assert observed.telemetry and observed.result is not None
+    quarantined = RunRecord(
+        3, cfg.with_(seed=2), QUARANTINED, source="store",
+        error="InvariantViolation: leaked MSHR", attempts=2,
+        failure_kind="invariant", bundle_path="/bundles/nomad-sop.json",
+    )
+    failed = run_campaign([cfg.with_(num_mem_ops=-5)]).records[0]
+    assert "Traceback" in failed.traceback
+    for rec in (observed, quarantined, failed):
+        item = _json_round_trip(record_to_item(rec, rec.index))
+        assert RunRecord.from_dict(item, rec.index) == rec

@@ -267,3 +267,35 @@ def test_resume_unknown_campaign_fails_loudly(tmp_path):
             run_distributed_campaign(
                 None, server.url, store, campaign_id="ghost", resume=True,
             )
+
+
+class _EnqueueRecorder:
+    """A broker client that records the enqueued meta and reports the
+    campaign drained at once (no broker, no runners)."""
+
+    def __init__(self):
+        self.meta = None
+
+    def probe(self):
+        pass
+
+    def enqueue(self, cid, batches, meta, manifest=None):
+        self.meta = meta
+
+    def status(self, cid):
+        return {"campaigns": {cid: {"done": 1, "batches": 1}}}
+
+    def records(self, cid):
+        return []
+
+
+def test_guard_object_reaches_batch_meta_with_its_config():
+    from repro.guard import Guard, GuardConfig
+
+    cfg = GuardConfig(check_interval=123, chaos_scheme="nomad")
+    client = _EnqueueRecorder()
+    run_distributed_campaign(
+        [BASE], "unused", store=None, guard=Guard(cfg), client=client,
+        poll_s=0.0,
+    )
+    assert client.meta["guard"] == cfg.to_dict()
