@@ -88,11 +88,15 @@ def cmd_run(args) -> int:
         return 2
     nomad_cfg = None
     if args.pcshrs is not None or args.distributed:
-        nomad_cfg = NomadConfig(
-            num_pcshrs=args.pcshrs or 16,
-            topology=(BackendTopology.DISTRIBUTED if args.distributed
-                      else BackendTopology.CENTRALIZED),
-        )
+        try:
+            nomad_cfg = NomadConfig(
+                num_pcshrs=16 if args.pcshrs is None else args.pcshrs,
+                topology=(BackendTopology.DISTRIBUTED if args.distributed
+                          else BackendTopology.CENTRALIZED),
+            )
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     cfg = RunConfig(
         scheme=args.scheme,
         workload=args.workload,
@@ -228,7 +232,14 @@ def cmd_sweep(args) -> int:
 
     axes = []
     if args.pcshrs:
-        axes.append(("num_pcshrs", _csv_ints(args.pcshrs)))
+        try:
+            pcshrs = _csv_ints(args.pcshrs)
+            for n in pcshrs:
+                NomadConfig(num_pcshrs=n)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        axes.append(("num_pcshrs", pcshrs))
     if args.seeds:
         axes.append(("seed", _csv_ints(args.seeds)))
     base = RunConfig(

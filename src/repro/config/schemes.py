@@ -86,6 +86,14 @@ class NomadConfig(ConfigSerializable):
     # an ablation: every eviction then costs a full-page writeback.
     dirty_in_cache_bits: bool = True
 
+    def __post_init__(self):
+        for name in ("num_pcshrs", "num_copy_buffers", "sub_entries_per_pcshr"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ValueError(
+                    f"NomadConfig.{name} must be at least 1, got {value}"
+                )
+
     def resolved_copy_buffers(self) -> int:
         return self.num_copy_buffers if self.num_copy_buffers is not None else self.num_pcshrs
 

@@ -8,7 +8,9 @@ The back-end owns data management for the OS-managed DRAM cache:
   the tag miss handler (the contention Figs. 12-14 sweep);
 * the **PCSHR file** executing page copies concurrently, each staged
   through a **page copy buffer**, sub-block by sub-block, with
-  critical-data-first scheduling;
+  critical-data-first scheduling.  Registers are created on first use,
+  so the Ideal bound's 64 Ki budget costs only the registers a run
+  touches;
 * **data-hit verification**: every DC access compares its CFN against
   the PCSHR tags.  No match means the whole page is resident (data hit);
   a match is a data miss, serviced from the page copy buffer when the
@@ -64,8 +66,13 @@ class Backend(Component, DataManager):
         m = num_buffers if num_buffers is not None else min(
             n, cfg.resolved_copy_buffers()
         )
-        self.pcshrs = [PCSHR(i, cfg.sub_entries_per_pcshr) for i in range(n)]
-        self._free: deque = deque(self.pcshrs)
+        self.num_pcshrs = n
+        # Registers created so far (register i at index i) and the
+        # released ones, FIFO.  _allocate creates a new register while the
+        # budget allows and reuses released ones after, which admits in
+        # the order of a deque pre-filled with all n registers.
+        self.pcshrs: List[PCSHR] = []
+        self._free: deque = deque()
         self._by_cfn: Dict[int, PCSHR] = {}
         # probe() runs on every DC access; the dict is never rebound, so
         # the instance attribute shadows the method (kept below as the
@@ -119,7 +126,12 @@ class Backend(Component, DataManager):
     @property
     def interface_busy(self) -> bool:
         """The S bit: busy while no PCSHR can take the next command."""
-        return not self._free or bool(self._cmd_waiters)
+        return not self.free_pcshrs or bool(self._cmd_waiters)
+
+    @property
+    def free_pcshrs(self) -> int:
+        """Budget minus registers in use (created or not)."""
+        return self.num_pcshrs - len(self._by_cfn)
 
     def _send(
         self,
@@ -137,7 +149,7 @@ class Backend(Component, DataManager):
         """Admit queued commands FIFO while PCSHRs (and CFNs) allow."""
         while self._cmd_waiters:
             cmd_type, pfn, cfn, sub, accepted, arrival = self._cmd_waiters[0]
-            if not self._free or cfn in self._by_cfn:
+            if not self.free_pcshrs or cfn in self._by_cfn:
                 return
             self._cmd_waiters.popleft()
             self._cmd_wait.add(self.sim.now - arrival)
@@ -147,7 +159,12 @@ class Backend(Component, DataManager):
     def _allocate(
         self, cmd_type: CommandType, pfn: int, cfn: int, sub: Optional[int]
     ) -> None:
-        pcshr = self._free.popleft()
+        pcshrs = self.pcshrs
+        if len(pcshrs) < self.num_pcshrs:
+            pcshr = PCSHR(len(pcshrs), self.cfg.sub_entries_per_pcshr)
+            pcshrs.append(pcshr)
+        else:
+            pcshr = self._free.popleft()
         pcshr.allocate(cmd_type, pfn, cfn, sub, self.sim.now)
         self._by_cfn[cfn] = pcshr
         if cmd_type == CommandType.CACHE_FILL:
@@ -302,7 +319,7 @@ class Backend(Component, DataManager):
     def guard_state(self) -> dict:
         return {
             "outstanding_copies": len(self._by_cfn),
-            "free_pcshrs": len(self._free),
+            "free_pcshrs": self.free_pcshrs,
             "queued_commands": len(self._cmd_waiters),
             "active_cfns": sorted(self._by_cfn)[:16],
         }

@@ -55,8 +55,9 @@ SCENARIOS: Dict[str, Tuple[int, int, int, int]] = {
 # snapshots enabled (the amortized path) and, for the frozen baseline
 # entries, once with ``configure_snapshots(0)`` (the rebuild-every-run
 # pre-snapshot path).  Schemes with DRAM-cache metadata are the ones
-# whose builds amortize; ``baseline``/``ideal`` are fork-unprofitable
-# by design (see repro.snapshot) and excluded.
+# whose builds amortize; ``baseline`` is fork-unprofitable by design
+# (see repro.snapshot) and excluded.  ``ideal`` forks too, but stays out
+# so the scenarios match their frozen BENCH_engine.json entries.
 SWEEP_SCHEMES = ("tid", "tdc", "nomad")
 
 # (ops per core, cores, DC megabytes, number of seeds).  The seeds

@@ -48,7 +48,9 @@ class TiDTagArray:
             s.move_to_end(line_id)
         return rec
 
-    def allocate(self, line_id: int) -> Tuple[int, Optional[Tuple[int, int, bool]]]:
+    def allocate(
+        self, line_id: int, dirty: bool = False
+    ) -> Tuple[int, Optional[Tuple[int, int, bool]]]:
         """Choose a way for ``line_id``.
 
         Returns ``(way, victim)`` where victim is ``(line_id, way, dirty)``
@@ -57,16 +59,35 @@ class TiDTagArray:
         s = self._sets[self.set_of(line_id)]
         if line_id in s:
             raise KeyError(f"line {line_id} already present")
+        return self._place(s, line_id, dirty)
+
+    def _place(self, s, line_id: int, dirty: bool):
         victim = None
-        if len(s) >= self.ways:
-            victim_id, (victim_way, victim_dirty) = s.popitem(last=False)
-            victim = (victim_id, victim_way, victim_dirty)
-            way = victim_way
+        if len(s) < self.ways:
+            # A line leaves a set only through the eviction below, which
+            # runs on a full set and refills it at once.  A set that is
+            # not full has never evicted, so it holds ways 0..len-1.
+            way = len(s)
         else:
-            used = {rec[0] for rec in s.values()}
-            way = next(w for w in range(self.ways) if w not in used)
-        s[line_id] = [way, False]
+            victim_id, (way, victim_dirty) = s.popitem(last=False)
+            victim = (victim_id, way, victim_dirty)
+        s[line_id] = [way, dirty]
         return way, victim
+
+    def warm(self, first_line: int, count: int, dirty: bool) -> None:
+        """Pre-install lines ``first_line .. first_line+count-1``.
+
+        A present line keeps its LRU position; a full set drops its LRU
+        line without a writeback (the cache is being warmed, not run).
+        """
+        sets, num_sets = self._sets, self.num_sets
+        for line_id in range(first_line, first_line + count):
+            s = sets[line_id % num_sets]
+            rec = s.get(line_id)
+            if rec is None:
+                self._place(s, line_id, dirty)
+            elif dirty:
+                rec[1] = True
 
     def mark_dirty(self, line_id: int) -> None:
         rec = self.lookup(line_id, touch=False)
@@ -240,9 +261,7 @@ class TiDScheme(SchemeBase):
 
     def _start_fill(self, line_id: int, demanded_sub: int, is_write: bool) -> None:
         self._line_fills.inc()
-        way, victim = self.tags.allocate(line_id)
-        if is_write:
-            self.tags.mark_dirty(line_id)
+        way, victim = self.tags.allocate(line_id, dirty=is_write)
         if victim is not None and victim[2]:
             self._writeback_line(victim[0], victim[1])
         fill = _ActiveFill(line_id, way)
@@ -333,12 +352,7 @@ class TiDScheme(SchemeBase):
     def _warm_cache_page(self, core_id, vpn, pte, dirty=False) -> None:
         """Pre-install the page's 1 KB lines in the tag array."""
         base_line = (pte.page_frame_num * 4096) >> self._line_shift
-        lines_per_page = 4096 // self.tid_cfg.line_size
-        for i in range(lines_per_page):
-            if self.tags.lookup(base_line + i, touch=False) is None:
-                self.tags.allocate(base_line + i)
-            if dirty:
-                self.tags.mark_dirty(base_line + i)
+        self.tags.warm(base_line, 4096 // self.tid_cfg.line_size, dirty)
 
     # -- reporting ----------------------------------------------------------------
 

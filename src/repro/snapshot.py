@@ -60,9 +60,8 @@ def snapshot_key(cfg) -> str:
 
 
 # Schemes whose build is cheaper than a snapshot round-trip: baseline
-# has no DRAM cache to warm, and ideal's "infinite" PCSHR file is 64 K
-# objects that unpickle slower than they construct.
-_FORK_UNPROFITABLE = frozenset({"baseline", "ideal"})
+# has no DRAM cache to warm.
+_FORK_UNPROFITABLE = frozenset({"baseline"})
 
 
 def snapshot_eligible(cfg) -> bool:

@@ -109,7 +109,7 @@ class Sampler:
             active = free = queued = in_use = hits = misses = 0
             for b in backends:
                 active += b.outstanding_copies
-                free += len(b._free)
+                free += b.free_pcshrs
                 queued += len(b._cmd_waiters)
                 in_use += b.buffers.in_use
                 hits += b.stats.get("data_hits").value

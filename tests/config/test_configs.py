@@ -92,3 +92,22 @@ def test_rows_per_bank_positive():
 def test_dram_cycles_rounds_up():
     assert HBM2.cycles(1.0, 3.6) == 4
     assert HBM2.cycles(0.1, 3.6) == 1
+
+
+@pytest.mark.parametrize("kwargs, field", [
+    ({"num_pcshrs": 0}, "num_pcshrs"),
+    ({"num_pcshrs": -1}, "num_pcshrs"),
+    ({"num_copy_buffers": 0}, "num_copy_buffers"),
+    ({"sub_entries_per_pcshr": 0}, "sub_entries_per_pcshr"),
+])
+def test_nomad_config_rejects_empty_budgets(kwargs, field):
+    with pytest.raises(ValueError, match=f"NomadConfig.{field} must be at least 1"):
+        NomadConfig(**kwargs)
+    with pytest.raises(ValueError, match=field):
+        NomadConfig.from_dict({**NomadConfig().to_dict(), **kwargs})
+
+
+def test_nomad_config_accepts_smallest_budgets():
+    cfg = NomadConfig(num_pcshrs=1, num_copy_buffers=1, sub_entries_per_pcshr=1)
+    assert cfg.resolved_copy_buffers() == 1
+    assert NomadConfig(num_copy_buffers=None).resolved_copy_buffers() == 16

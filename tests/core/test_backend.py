@@ -1,5 +1,8 @@
 """Back-end hardware: interface admission, page copies, data misses."""
 
+import random
+from collections import deque
+
 import pytest
 
 from repro.common.types import TrafficClass
@@ -8,6 +11,7 @@ from repro.config.schemes import NomadConfig
 from repro.core.backend import Backend
 from repro.core.pcshr import CommandType
 from repro.dram.device import DRAMDevice
+from repro.guard.checkers import check_pcshrs
 
 
 def make_backend(sim, **cfg_kw):
@@ -199,3 +203,63 @@ def test_fill_and_writeback_counters(sim):
     assert be.stats.get("fill_commands").value == 1
     assert be.stats.get("writeback_commands").value == 1
     sim.run()
+
+
+# -- on-demand PCSHR file --------------------------------------------------
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("num_pcshrs, num_copy_buffers", [(1, None), (3, None), (4, 2)])
+def test_admission_order_matches_prefilled_deque(sim, seed, num_pcshrs, num_copy_buffers):
+    """Registers are created on first use, yet every command gets the
+    index a deque pre-filled with all registers would have given it:
+    never-used registers in index order, then released ones FIFO."""
+    be, _, _ = make_backend(sim, num_pcshrs=num_pcshrs,
+                            num_copy_buffers=num_copy_buffers)
+    log = []
+    complete = be._complete
+
+    def _logged_complete(pcshr):
+        log.append(("release", pcshr.index))
+        complete(pcshr)
+
+    be._complete = _logged_complete
+    rng = random.Random(seed)
+    for _ in range(40):
+        cfn, pfn, sub = rng.randrange(6), rng.randrange(100), rng.randrange(64)
+
+        def admitted(cfn=cfn):
+            log.append(("admit", be.probe(cfn).index))
+
+        if rng.random() < 0.6:
+            send = lambda c=cfn, p=pfn, s=sub, a=admitted: be.fill(
+                c, p, s, a, lambda t: None)
+        else:
+            send = lambda c=cfn, p=pfn, a=admitted: be.writeback(c, p, a)
+        sim.schedule_at(rng.randrange(20_000), send)
+    sim.run()
+
+    reference = deque(range(num_pcshrs))
+    for event, index in log:
+        if event == "admit":
+            assert index == reference.popleft()
+        else:
+            reference.append(index)
+    admits = [index for event, index in log if event == "admit"]
+    assert len(admits) == 40
+    # Exactly the registers some command used were created.
+    assert [p.index for p in be.pcshrs] == sorted(set(admits))
+    # The budget was spent, so the later admits reused released registers.
+    assert len(be.pcshrs) == num_pcshrs
+    assert be.free_pcshrs == num_pcshrs
+    assert check_pcshrs(be, sim) == []
+
+
+def test_no_register_before_first_command(sim):
+    be, _, _ = make_backend(sim, num_pcshrs=1 << 16)
+    assert be.pcshrs == [] and be.free_pcshrs == 1 << 16
+    assert be.guard_state()["free_pcshrs"] == 1 << 16
+    assert not be.interface_busy
+    be.fill(1, 2, 0, lambda: None, lambda t: None)
+    assert len(be.pcshrs) == 1 and be.free_pcshrs == (1 << 16) - 1
+    sim.run()
+    assert len(be.pcshrs) == 1 and be.free_pcshrs == 1 << 16

@@ -18,7 +18,7 @@ def make(sim, num_backends=4, **cfg_kw):
 def test_budget_split_evenly(sim):
     d = make(sim, num_backends=4, num_pcshrs=16)
     assert len(d.backends) == 4
-    assert all(len(b.pcshrs) == 4 for b in d.backends)
+    assert all(b.num_pcshrs == 4 for b in d.backends)
 
 
 def test_commands_route_by_cfn(sim):

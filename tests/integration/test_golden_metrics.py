@@ -57,11 +57,10 @@ def test_golden_entry_bit_identical(entry):
     assert result.to_dict() == entry["expected"]
 
 
-# Schemes the snapshot cache forks (see repro.snapshot: baseline/ideal
-# are fork-unprofitable and always build fresh).
+# Schemes the snapshot cache forks (see repro.snapshot: baseline is
+# fork-unprofitable and always builds fresh).
 _FORKABLE = [
-    e for e in _GOLDEN["entries"]
-    if e["config"]["scheme"] not in ("baseline", "ideal")
+    e for e in _GOLDEN["entries"] if e["config"]["scheme"] != "baseline"
 ]
 _FORK_IDS = [
     f"{e['config']['scheme']}-{e['config']['workload']}-s{e['config']['seed']}"

@@ -1,5 +1,7 @@
 """Property-based tests (hypothesis) for core data structures."""
 
+from collections import OrderedDict
+
 from hypothesis import given, settings, strategies as st
 
 from repro.cache.mshr import MSHRFile
@@ -8,6 +10,7 @@ from repro.common.bitvector import BitVector
 from repro.core.free_queue import FreeQueue
 from repro.dram.address_map import AddressMap
 from repro.config.dram import DDR4_3200, HBM2
+from repro.schemes.tid import TiDTagArray
 from repro.vm.descriptors import CPDArray
 
 
@@ -133,3 +136,62 @@ def test_address_map_same_burst_same_location(addr):
     am = AddressMap(HBM2)
     base = (addr >> 6) << 6
     assert am.decode(base) == am.decode(base + 63)
+
+
+# -- TiD tag array ---------------------------------------------------------
+
+class _ScanTagArray:
+    """Way pick by scanning the set's used ways (the O(ways) reference)."""
+
+    def __init__(self, num_sets, ways):
+        self.num_sets, self.ways = num_sets, ways
+        self.sets = [OrderedDict() for _ in range(num_sets)]
+
+    def allocate(self, line_id, dirty=False):
+        s = self.sets[line_id % self.num_sets]
+        victim = None
+        if len(s) >= self.ways:
+            victim_id, (way, victim_dirty) = s.popitem(last=False)
+            victim = (victim_id, way, victim_dirty)
+        else:
+            used = {rec[0] for rec in s.values()}
+            way = next(w for w in range(self.ways) if w not in used)
+        s[line_id] = [way, dirty]
+        return way, victim
+
+    def lookup(self, line_id):
+        s = self.sets[line_id % self.num_sets]
+        if line_id in s:
+            s.move_to_end(line_id)
+
+
+_TAG_OPS = st.lists(
+    st.tuples(st.sampled_from(["alloc", "touch", "warm"]),
+              st.integers(0, 40), st.booleans()),
+    max_size=120,
+)
+
+
+@given(st.integers(1, 4), st.integers(1, 4), _TAG_OPS)
+def test_tid_way_pick_matches_used_way_scan(num_sets, ways, ops):
+    tags = TiDTagArray(num_sets, ways)
+    ref = _ScanTagArray(num_sets, ways)
+    for op, line, dirty in ops:
+        present = tags.lookup(line, touch=False) is not None
+        if op == "touch":
+            tags.lookup(line)
+            ref.lookup(line)
+        elif op == "alloc" and not present:
+            assert tags.allocate(line, dirty) == ref.allocate(line, dirty)
+        elif op == "warm":
+            # Four consecutive lines, as a page warms four 1 KB lines.
+            tags.warm(line, 4, dirty)
+            for line_id in range(line, line + 4):
+                rec = ref.sets[line_id % num_sets].get(line_id)
+                if rec is None:
+                    ref.allocate(line_id, dirty)
+                elif dirty:
+                    rec[1] = True
+        for s, r in zip(tags._sets, ref.sets):
+            assert list(s.items()) == list(r.items())
+            assert sorted(rec[0] for rec in s.values()) == list(range(len(s)))

@@ -49,7 +49,7 @@ def _fresh_caches():
 # -- round-trip bit-identity ---------------------------------------------------
 
 
-@pytest.mark.parametrize("scheme", ["tid", "tdc", "nomad", "unthrottled"])
+@pytest.mark.parametrize("scheme", ["tid", "tdc", "nomad", "ideal", "unthrottled"])
 @pytest.mark.parametrize("workload", ["cact", "sop"])
 def test_fork_same_seed_bit_identical(scheme, workload):
     blob = _build(scheme, workload).snapshot()
@@ -145,7 +145,7 @@ def test_eligibility_excludes_unprofitable_and_unwarmed():
     cfg = RunConfig(scheme="nomad", workload="cact")
     assert snapshot_eligible(cfg)
     assert not snapshot_eligible(cfg.with_(scheme="baseline"))
-    assert not snapshot_eligible(cfg.with_(scheme="ideal"))
+    assert snapshot_eligible(cfg.with_(scheme="ideal"))
     assert not snapshot_eligible(cfg.with_(prewarm=False))
 
 

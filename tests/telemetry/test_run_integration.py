@@ -64,6 +64,15 @@ def test_sampler_series_is_monotonic_and_consistent(nomad_run):
     assert all("pending_events" in s and "rob" in s for s in samples)
 
 
+def test_sampled_free_pcshrs_count_registers_not_yet_created(nomad_run):
+    """Registers are created on first use; a free one is free whether or
+    not it exists yet, so free + in flight is always the budget."""
+    _result, machine, tel = nomad_run
+    budget = machine.scheme.backend.num_pcshrs
+    assert all(s["free_pcshrs"] + s["active_copies"] == budget
+               for s in tel.sampler.samples)
+
+
 def test_overlap_fraction_separates_nomad_from_tdc(nomad_run, tdc_run):
     _r, _m, nomad_tel = nomad_run
     _r, _m, tdc_tel = tdc_run

@@ -216,6 +216,36 @@ def test_sweep_rejects_unknown_names(capsys):
     assert "warpdrive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "--scheme", "nomad", "--workload", "sop", "--pcshrs", "0"],
+    ["run", "--scheme", "nomad", "--workload", "sop", "--pcshrs", "-3",
+     "--distributed"],
+    ["sweep", "--schemes", "nomad", "--workloads", "sop", "--pcshrs", "0,4",
+     "--no-store", "--no-progress"],
+    ["sweep", "--schemes", "nomad", "--workloads", "sop", "--pcshrs", "4,x",
+     "--no-store", "--no-progress"],
+])
+def test_bad_pcshr_budget_exits_2_before_simulating(argv, capsys, monkeypatch):
+    import repro.cli
+
+    def _no_simulation(*_args, **_kwargs):
+        raise AssertionError("simulated a rejected config")
+
+    monkeypatch.setattr(repro.cli, "run_workload", _no_simulation)
+    monkeypatch.setattr(repro.cli, "run_campaign", _no_simulation)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.strip()
+    assert err.startswith("error: ") and "\n" not in err
+
+
+def test_bad_pcshr_budget_names_the_field(capsys):
+    assert main(["run", "--scheme", "nomad", "--workload", "sop",
+                 "--pcshrs", "0"]) == 2
+    assert "num_pcshrs" in capsys.readouterr().err
+
+
 # -- service subcommands ----------------------------------------------------
 
 def _seed_store(tmp_path):
